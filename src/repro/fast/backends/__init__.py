@@ -320,12 +320,15 @@ class CompiledOps:
         bk.n_att = prep(bk.n_att_arr)
         bk.counts2d = prep(bk.counts2d_arr.reshape(-1))
         bk.done = prep(bk.done_arr)
-        # Sized for the cext matcher's scratch layout (prefix table +
-        # source-slot log); a plain slot list needs only the first n.
-        bk.plist = prep(arena.buf("bk.plist", (n + n // 8 + 2,), np.int32))
-        # The compiled matcher's contract: all-zero on entry and exit
-        # (it un-marks the slots it used), so zero once per bind.
-        bk.used = prep(arena.full("bk.used", (n,), np.uint8, 0))
+        # The compiled matcher takes choices as raw participant ranks.
+        bk.rank_base = np.zeros(m, np.int64)
+        # The matcher's per-row slot list: slot s -> ant id, written only
+        # at plist[0..n).
+        bk.plist = prep(arena.buf("bk.plist", (n,), np.int32))
+        # Per-slot "paired" flags: the matcher clears the first m_per[row]
+        # entries of every row it scans, so no contents carry over between
+        # calls and the buffer needs no fill here.
+        bk.used = prep(arena.buf("bk.used", (n,), np.uint8))
         self._bind = bk
         self._bind_st = st
         self._bind_epoch = st.epoch
@@ -416,10 +419,12 @@ class CompiledOps:
             # Exactly the sequential schedule: no attempts, no draws.
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty
-        from repro.fast.batch_matcher import draw_choices_per_trial
+        from repro.fast.batch_matcher import draw_choice_keys
 
         bk = self._bound(st)
-        choices = draw_choices_per_trial(mat_rngs, bk.n_att_arr, bk.m_per_arr)
+        choices = draw_choice_keys(
+            mat_rngs, bk.n_att_arr, bk.m_per_arr, bk.rank_base
+        )
         capacity = self._att_total
         arena = shared_arena()
         out_rows = arena.buf("bk.prows", (capacity,), np.int64)

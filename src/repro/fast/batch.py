@@ -53,6 +53,7 @@ from repro.fast.backends import (
     resolve_backend,
 )
 from repro.fast.batch_matcher import (
+    match_flat_pairs,
     match_pairs_batch,
     match_positions_batch,
 )
@@ -72,6 +73,9 @@ from repro.sim.rng import RandomSource
 from repro.types import GOOD_THRESHOLD
 
 RateMultiplier = Callable[[int], float]
+
+#: Scatter-count increment in the int32 dtype of the count planes.
+_ONE32 = np.int32(1)
 
 
 def _check_batch(n: int, sources: Sequence[RandomSource]) -> None:
@@ -106,13 +110,6 @@ def _assess(values: np.ndarray, k: int, offsets: np.ndarray) -> tuple[np.ndarray
     flat_ids = values + offsets
     flat = np.bincount(flat_ids.ravel(), minlength=n_rows * (k + 1))
     return flat.reshape(n_rows, k + 1), flat[flat_ids], flat_ids
-
-
-def _gather_counts(
-    counts: np.ndarray, values: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Per-ant lookup ``counts[row, values[row, ant]]`` via flat indexing."""
-    return counts.ravel()[values + offsets]
 
 
 def _fill_rows(
@@ -515,8 +512,10 @@ def simulate_simple_batch(
         flat_ids_flat = flat_ids.ravel()
         old_bins = flat_ids_flat.take(moved, mode="clip")
         new_bins = old_bins - moved_old + moved_new
-        np.subtract.at(countsf, old_bins, 1)
-        np.add.at(countsf, new_bins, 1)
+        # The operand must match countsf's int32: a Python int sends
+        # ufunc.at down numpy's casting slow path (~40x slower).
+        np.subtract.at(countsf, old_bins, _ONE32)
+        np.add.at(countsf, new_bins, _ONE32)
         flat_ids_flat[moved] = new_bins
         rounds += 1
         if prof is not None:
@@ -1180,8 +1179,18 @@ def simulate_optimal_batch(
 
     Mask-based port of :func:`repro.fast.optimal_fast.simulate_optimal`
     (see that module's sub-round table) under the v2 matcher schedule; the
-    three matchings per block run over each trial's own participant subset
-    via :func:`~repro.fast.batch_matcher.match_positions_batch`.
+    four matchings per block run over each trial's own participant subset
+    via :func:`~repro.fast.batch_matcher.match_flat_pairs`, and each is
+    consumed as sparse pairs scattered into the flat state planes.
+
+    State planes are int32 (nests and counts are bounded by ``n``) and
+    recycled through the arena; outputs are int64 as everywhere else.
+    Within a block ``nest`` keeps the block-start nests until the actives
+    are classified, while ``nestt`` collects every matching's result:
+    B1's candidate nests (line 24) for the actives, and for everyone else
+    the nests B1 and B2 hand them.  After the classification ``nestt``
+    is every ant's nest (a case-3 active moves to its candidate, cases
+    1 and 2 already hold it), so it is copied back.
     """
     _check_batch(n, sources)
     prof = profiling.active()
@@ -1191,12 +1200,12 @@ def simulate_optimal_batch(
     env_rngs = [s.environment for s in sources]
     mat_rngs = [s.matcher for s in sources]
 
-    def matched(parts, attempting, targets):
+    def matched(parts, attempting):
         """Profiling-aware matching (credits the resolver to "match")."""
         if prof is None:
-            return match_positions_batch(parts, attempting, targets, mat_rngs)
+            return match_flat_pairs(parts, attempting, mat_rngs)
         t0 = perf_counter()
-        result = match_positions_batch(parts, attempting, targets, mat_rngs)
+        result = match_flat_pairs(parts, attempting, mat_rngs)
         prof.tick("match", t0)
         return result
 
@@ -1204,25 +1213,59 @@ def simulate_optimal_batch(
     arena = shared_arena()
     qualities = np.concatenate([[0.0], nests.quality_array()])
     good = qualities > nests.good_threshold
+    status_of = np.where(good, _ACTIVE, _PASSIVE).astype(np.int8)
 
     out: list[FastRunResult | None] = [None] * n_trials
     histories: list[list[np.ndarray]] = [[] for _ in range(n_trials)]
     live = np.arange(n_trials)
-    offsets = _row_offsets(n_trials, k)
+    shape = (n_trials, n)
+    offsets32 = (np.arange(n_trials, dtype=np.int32) * (k + 1))[:, None]
+
+    # State (int32/int8, arena-recycled, compacted in place).
+    nest = _draw_initial_nests(arena.buf("s.nest", shape, np.int32), env_rngs, k)
+    count = arena.buf("s.count", shape, np.int32)
+    status = arena.buf("o.status", shape, np.int8)
+    # Per-block scratch: the working nests, gathered counts, flat bin ids
+    # and boolean masks (planes of the same shape and dtype as the simple
+    # kernel's share its arena names).
+    nestt = arena.buf("o.nestt", shape, np.int32)
+    countt = arena.buf("o.countt", shape, np.int32)
+    countn = arena.buf("o.countn", shape, np.int32)
+    flat_ids = arena.buf("s.flat", shape, np.int32)
+    active_m = arena.buf("s.active", shape, np.bool_)
+    final_m = arena.buf("o.final", shape, np.bool_)
+    parts = arena.buf("b.wants", shape, np.bool_)
+    case1 = arena.buf("o.case1", shape, np.bool_)
+    case2 = arena.buf("o.case2", shape, np.bool_)
+    case3 = arena.buf("o.case3", shape, np.bool_)
+    scr1 = arena.buf("o.scr1", shape, np.bool_)
+    scr2 = arena.buf("o.scr2", shape, np.bool_)
+
+    def gather_counts(
+        where: np.ndarray, located: np.ndarray | bool, target: np.ndarray
+    ) -> None:
+        """``target[b, i]`` = located ants of row ``b`` at ``where[b, i]``.
+
+        Ants outside ``located`` (at home) count in bin 0 and read bin 0;
+        callers only consume the entries of located ants.
+        """
+        np.multiply(where, located, out=flat_ids)
+        np.add(flat_ids, offsets32[: len(live)], out=flat_ids)
+        binned = np.bincount(flat_ids.ravel(), minlength=len(live) * (k + 1))
+        np.take(binned.astype(np.int32), flat_ids, out=target, mode="clip")
 
     # Round 1: search.
-    nest = np.stack([rng.integers(1, k + 1, size=n) for rng in env_rngs])
-    _, count, _ = _assess(nest, k, offsets)
-    status = np.where(good[nest], _ACTIVE, _PASSIVE).astype(np.int8)
+    gather_counts(nest, True, count)
+    np.take(status_of, nest, out=status, mode="clip")
     rounds = 1
 
     def record(locations: np.ndarray) -> None:
-        if record_history:
-            rows = _row_bincount(locations, k)
-            for row, gid in enumerate(live):
-                histories[gid].append(rows[row])
+        rows = _row_bincount(locations, k)
+        for row, gid in enumerate(live):
+            histories[gid].append(rows[row])
 
-    record(nest)
+    if record_history:
+        record(nest)
 
     def finalize_rows(
         row_sel: np.ndarray, conv_rounds: np.ndarray | None
@@ -1249,91 +1292,110 @@ def simulate_optimal_batch(
             )
 
     def unanimous_good(rows_mask: np.ndarray) -> np.ndarray:
-        first = nest[:, :1]
-        return (
-            rows_mask
-            & np.logical_and.reduce(nest == first, axis=1)
-            & good[first[:, 0]]
-        )
+        """``rows_mask`` narrowed to rows unanimous on a good nest."""
+        rows = np.flatnonzero(rows_mask)
+        result = np.zeros(len(rows_mask), dtype=bool)
+        if rows.size:
+            sub = nest[rows]
+            first = sub[:, 0]
+            result[rows] = np.logical_and.reduce(
+                sub == first[:, None], axis=1
+            ) & good[first]
+        return result
 
     while live.size and rounds + 4 <= max_rounds:
         if prof is not None:
             prof.rounds += 4
             t_block = perf_counter()
             match_at_block_start = prof.phase_seconds.get("match", 0.0)
-        active_m = status == _ACTIVE
-        passive_m = status == _PASSIVE
-        final_m = status == _FINAL
-        conv_round = arena.full("ob.conv_round", (len(live),), np.int64, -1)
+        m = len(live)
+        np.equal(status, _ACTIVE, out=active_m)
+        np.equal(status, _FINAL, out=final_m)
+        n_final = np.count_nonzero(final_m, axis=1)
+        conv_round = arena.full("ob.conv_round", (m,), np.int64, -1)
+        nest_f, nestt_f = nest.ravel(), nestt.ravel()
 
         # ---- B1: actives + finals recruit(1, nest); passives go(nest).
-        parts1 = active_m | final_m
-        res1, _ = matched(parts1, parts1, nest)
-        nestt = np.where(active_m, res1, nest)
-        nest = np.where(final_m, res1, nest)
-        record(np.where(parts1, 0, nest))
+        np.logical_or(active_m, final_m, out=parts)
+        if record_history:
+            record(np.where(parts, 0, nest))
         rounds += 1
+        src, dst = matched(parts, None)
+        np.copyto(nestt, nest)
+        nestt_f[dst] = nest_f.take(src)
 
         # ---- B2: actives go(nestt); passives + finals recruit at home.
-        record(np.where(active_m, nestt, 0))
+        if record_history:
+            record(np.where(active_m, nestt, 0))
         rounds += 1
-        counts_b2 = _row_bincount(np.where(active_m, nestt, 0), k)
-        countt = _gather_counts(counts_b2, nestt, offsets)
+        gather_counts(nestt, active_m, countt)
 
-        parts2 = passive_m | final_m
-        res2, _ = matched(parts2, final_m, nest)
-        new_final = passive_m & (res2 != nest)  # line 15
-        nest = np.where(new_final | final_m, res2, nest)
+        np.logical_not(active_m, out=parts)
+        src, dst = matched(parts, final_m)
+        new_vals = nestt_f.take(src)
+        # Line 15: a recruited passive that moved turns final.
+        new_final = dst.compress(
+            (status.ravel().take(dst) == _PASSIVE) & (new_vals != nestt_f.take(dst))
+        )
+        nestt_f[dst] = new_vals
 
         # Classify the actives (lines 25-42) using pre-update counts.
-        case1 = active_m & (nestt == nest) & (countt >= count)
-        case2 = active_m & (nestt == nest) & (countt < count)
-        case3 = active_m & (nestt != nest)
-        count = np.where(case1, countt, count)  # line 27
-        nest = np.where(case3, nestt, nest)  # line 38
+        np.equal(nestt, nest, out=scr1)
+        np.greater_equal(countt, count, out=scr2)
+        np.greater(active_m, scr1, out=case3)  # nestt != nest
+        np.logical_and(active_m, scr1, out=scr1)
+        np.greater(scr1, scr2, out=case2)  # countt < count
+        np.logical_and(scr1, scr2, out=case1)
+        np.copyto(count, countt, where=case1)  # line 27
+        np.copyto(nest, nestt)  # line 38 for case 3
 
-        # Everyone settled check at B2 (the last passives may settle here).
-        no_actives = ~active_m.any(axis=1)
-        all_prospective = np.logical_and.reduce(final_m | new_final, axis=1)
-        settled_b2 = unanimous_good(no_actives & all_prospective)
-        conv_round[settled_b2] = rounds
+        # Everyone settled check at B2 (the last passives may settle here):
+        # every ant final or newly final (so none active).
+        n_final += np.bincount(new_final // n, minlength=m)
+        conv_round[unanimous_good(n_final == n)] = rounds
 
         # ---- B3: case1/case3/passives go(nest); case2 + finals at home.
-        at_nest = case1 | case3 | passive_m
-        locations = np.where(at_nest, nest, 0)
-        record(locations)
+        np.logical_or(case2, final_m, out=parts)
+        if record_history:
+            record(np.where(parts, 0, nest))
         rounds += 1
-        counts_b3 = _row_bincount(locations, k)
-        countn = _gather_counts(counts_b3, nest, offsets)
+        np.logical_not(parts, out=scr1)
+        gather_counts(nest, scr1, countn)
 
-        parts3 = case2 | final_m
-        res3, _ = matched(parts3, final_m, nest)
+        src, dst = matched(parts, final_m)
         # Case-2 ants discard the result (line 35); finals adopt (line 21).
-        nest = np.where(final_m, res3, nest)
+        adopt = final_m.ravel().take(dst)
+        nest_f[dst.compress(adopt)] = nest_f.take(src.compress(adopt))
 
-        case3_drop = case3 & (countn < countt)  # line 40
-        case3_stay = case3 & ~case3_drop
+        np.less(countn, countt, out=scr1)
+        scr1 &= case3  # line 40: case-3 drop
         if not strict_pseudocode:
-            count = np.where(case3_stay, countn, count)  # DESIGN.md 3.2
+            np.greater(case3, scr1, out=scr2)
+            np.copyto(count, countn, where=scr2)  # DESIGN.md 3.2
 
         # ---- B4: case1 + finals at home; everyone else at its nest.
-        record(np.where(case2 | case3 | passive_m, nest, 0))
+        np.logical_or(case1, final_m, out=parts)
+        if record_history:
+            record(np.where(parts, 0, nest))
         rounds += 1
-        counth = case1.sum(axis=1) + final_m.sum(axis=1)
+        counth = np.count_nonzero(parts, axis=1)
 
-        parts4 = case1 | final_m
-        res4, _ = matched(parts4, final_m, nest)
+        src, dst = matched(parts, final_m)
         # Case-1 ants discard the returned nest (line 29); finals adopt.
-        nest = np.where(final_m, res4, nest)
+        adopt = final_m.ravel().take(dst)
+        nest_f[dst.compress(adopt)] = nest_f.take(src.compress(adopt))
 
-        settle = case1 & (count == counth[:, None])  # line 30
+        np.equal(count, counth[:, None], out=scr2)
+        scr2 &= case1  # line 30: settle
 
         # Apply end-of-block status changes.
-        status[case2 | case3_drop] = _PASSIVE
-        status[new_final | settle] = _FINAL
+        scr1 |= case2
+        np.copyto(status, _PASSIVE, where=scr1)
+        status.ravel()[new_final] = _FINAL
+        np.copyto(status, _FINAL, where=scr2)
 
-        all_final = np.logical_and.reduce(status == _FINAL, axis=1)
-        settled_end = unanimous_good(all_final) & (conv_round < 0)
+        n_final += np.count_nonzero(scr2, axis=1)
+        settled_end = unanimous_good(n_final == n) & (conv_round < 0)
         conv_round[settled_end] = rounds
 
         converged = conv_round >= 0
@@ -1354,7 +1416,13 @@ def simulate_optimal_batch(
                 np.flatnonzero(keep), nest, count, status, live
             )
             env_rngs, mat_rngs = _filter_lists(keep, env_rngs, mat_rngs)
-            offsets = _row_offsets(len(live), k)
+            m = len(live)
+            nestt, countt, countn, flat_ids = (
+                nestt[:m], countt[:m], countn[:m], flat_ids[:m]
+            )
+            active_m, final_m, parts = active_m[:m], final_m[:m], parts[:m]
+            case1, case2, case3 = case1[:m], case2[:m], case3[:m]
+            scr1, scr2 = scr1[:m], scr2[:m]
 
     finalize_rows(np.arange(len(live)), None)
     return out  # type: ignore[return-value]

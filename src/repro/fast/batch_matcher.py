@@ -176,10 +176,11 @@ def resolve_pairs_numpy(
     return np.concatenate(sel_src_parts), np.concatenate(sel_dst_parts)
 
 
-def draw_choices_per_trial(
+def draw_choice_keys(
     rngs: Sequence[np.random.Generator],
     n_attempts: np.ndarray,
     m_participants: np.ndarray | int,
+    base: np.ndarray,
 ) -> np.ndarray:
     """The v2 draw schedule: one uniform choice per wanting slot, per trial.
 
@@ -187,6 +188,11 @@ def draw_choices_per_trial(
     generator call whose shape depends only on that trial's own state, so
     the stream is identical at any batch size.  Trials with no attempts
     skip the call entirely.
+
+    Returns ``keys[j] = base[b] + choice_j`` over every trial's attempts in
+    order: each row's draw is added straight into its slice of one
+    recycled buffer, so shifting choices into a trial's key range costs no
+    extra pass.  The view is valid until the next call.
     """
     # Plain-int iteration (tolist) keeps the per-round loop off the
     # numpy-scalar slow path; the generator calls are unchanged.
@@ -195,16 +201,13 @@ def draw_choices_per_trial(
         m_list = m_participants.tolist()
     else:
         m_list = [int(m_participants)] * len(rngs)
-    parts = [
-        rng.integers(0, m, size=a)
-        for rng, a, m in zip(rngs, n_list, m_list)
-        if a
-    ]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+    keys = shared_arena().buf("matcher.keys", (sum(n_list),), np.int64)
+    lo = 0
+    for rng, a, m, row_base in zip(rngs, n_list, m_list, base.tolist()):
+        if a:
+            np.add(rng.integers(0, m, size=a), row_base, out=keys[lo : lo + a])
+            lo += a
+    return keys
 
 
 def _resolve_segmented(
@@ -278,8 +281,7 @@ def match_pairs_batch(
     # binary searches instead of another pass over the mask.
     boundaries = np.searchsorted(src_key, np.arange(n_trials + 1) * n)
     n_attempts = np.diff(boundaries)
-    choices = draw_choices_per_trial(rngs, n_attempts, n)
-    dst_key = src_key - (src_key % n) + choices
+    dst_key = draw_choice_keys(rngs, n_attempts, n, np.arange(n_trials) * n)
     if segmented:
         return _resolve_segmented(src_key, dst_key, boundaries, n, resolve)
     return resolve_greedy_matching(src_key, dst_key, n_trials * n, resolve=resolve)
@@ -312,14 +314,14 @@ def match_slots_batch(
     return results, recruiter_of, is_recruiter
 
 
-def match_positions_sparse(
+def match_flat_pairs(
     participants: np.ndarray,
-    attempting: np.ndarray,
+    attempting: np.ndarray | None,
     rngs: Sequence[np.random.Generator],
     *,
     resolve=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched Algorithm 1 over participant subsets, as sparse pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Algorithm 1 over participant subsets, as flat plane pairs.
 
     Participant slots are each trial's participating ants in ant-id order
     (the v2 slot convention for subset rounds); choices are uniform over
@@ -327,8 +329,14 @@ def match_positions_sparse(
     it touches the full ``(B, n)`` space only twice (one ``flatnonzero``
     over the participant mask, one gather of the attempt flags) and does
     everything else — per-row attempt counts, slot keys, the resolver, the
-    key-to-ant mapping — on attempt-sized arrays, so round loops can
-    scatter-update exactly the recruited ants.
+    key-to-plane mapping — on attempt-sized arrays, so round loops can
+    scatter-update exactly the recruited ants of their flat state planes.
+
+    Slot keys are positions in the batch-wide participant list: they rise
+    in (row, ant-id) order, which is each trial's scan order, and every
+    trial owns the contiguous key range of its own participants, so the
+    resolver sees exactly the per-trial matchings of a ``row * n + slot``
+    key layout over a key space of only the participant count.
 
     Parameters
     ----------
@@ -336,9 +344,59 @@ def match_positions_sparse(
         ``(B, n)`` bool; ants at the home nest this round.
     attempting:
         ``(B, n)`` bool; subset of ``participants`` that called
-        ``recruit(1, ·)``.
+        ``recruit(1, ·)``.  ``None`` means every participant attempts,
+        which skips the attempt-flag gather.
     rngs:
         One matcher generator per trial row.
+
+    Returns
+    -------
+    src_flat, dst_flat:
+        Selected pairs as flat ``row * n + ant`` positions (a self-pair
+        has ``src_flat[i] == dst_flat[i]``), in no particular order.
+        Destinations are unique, and no source is another pair's
+        destination.
+    """
+    n_trials, n = participants.shape
+    if attempting is not None and not attempting.any():
+        # No recruiter calls: nothing to resolve and (exactly as in the
+        # sequential schedule) not a single generator draw is consumed.
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    # Flat positions of every participant: ``flat_idx[j] = row*n + ant`` of
+    # the j-th participant in (row, ant-id) order.
+    flat_idx = np.flatnonzero(participants.ravel())
+    # Per-row participant boundaries via binary search (flat_idx is sorted).
+    boundaries = np.searchsorted(flat_idx, np.arange(n_trials + 1) * n)
+    m_per = np.diff(boundaries)
+    if attempting is None:
+        att_idx = np.arange(len(flat_idx))
+        n_attempts = m_per
+    else:
+        # Attempt subset, in participant-list coordinates; it is sorted,
+        # so per-row attempt counts are B + 1 binary searches.
+        att_flags = attempting.ravel().take(flat_idx, mode="clip")
+        att_idx = np.flatnonzero(att_flags)
+        n_attempts = np.diff(np.searchsorted(att_idx, boundaries))
+    if not len(att_idx):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    # A choice is a rank within its row's participant list.
+    dst_key = draw_choice_keys(rngs, n_attempts, m_per, boundaries[:-1])
+    sel_src, sel_dst = resolve_greedy_matching(
+        att_idx, dst_key, len(flat_idx), resolve=resolve
+    )
+    return flat_idx.take(sel_src), flat_idx.take(sel_dst)
+
+
+def match_positions_sparse(
+    participants: np.ndarray,
+    attempting: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    *,
+    resolve=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row/ant-coordinate form of :func:`match_flat_pairs`.
 
     Returns
     -------
@@ -346,41 +404,13 @@ def match_positions_sparse(
         Selected pairs as trial-row indices and ant ids (a self-pair has
         ``src_ant[i] == dst_ant[i]``).
     """
-    n_trials, n = participants.shape
-    if not attempting.any():
-        # No recruiter calls: nothing to resolve and (exactly as in the
-        # sequential schedule) not a single generator draw is consumed.
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    # Flat positions of every participant: ``flat_idx[j] = row*n + ant`` of
-    # the j-th participant in (row, ant-id) order.
-    flat_idx = np.flatnonzero(participants.ravel())
-    # Per-row participant boundaries via binary search (flat_idx is sorted).
-    boundaries = np.searchsorted(flat_idx, np.arange(n_trials + 1) * n)
-    m_per = np.diff(boundaries)
-
-    # Attempt subset, in participant-list coordinates.
-    att_flags = attempting.ravel().take(flat_idx, mode="clip")
-    att_idx = np.flatnonzero(att_flags)
-    att_rows = np.searchsorted(boundaries, att_idx, side="right") - 1
-    n_attempts = np.bincount(att_rows, minlength=n_trials)
-    choices = draw_choices_per_trial(rngs, n_attempts, m_per)
-
-    # Slot key of a participant = row*n + its rank within the row's list.
-    att_row_key = att_rows * n
-    src_key = att_row_key + (att_idx - boundaries.take(att_rows, mode="clip"))
-    dst_key = att_row_key + choices
-    sel_src, sel_dst = resolve_greedy_matching(
-        src_key, dst_key, n_trials * n, resolve=resolve
+    n = participants.shape[1]
+    src_flat, dst_flat = match_flat_pairs(
+        participants, attempting, rngs, resolve=resolve
     )
-
-    # Map selected slot keys back to ant coordinates through flat_idx.
-    rows_sel = sel_src // n
+    rows_sel = src_flat // n
     row_base = rows_sel * n
-    part_base = boundaries.take(rows_sel, mode="clip")
-    src_ant = flat_idx.take(part_base + (sel_src - row_base)) - row_base
-    dst_ant = flat_idx.take(part_base + (sel_dst - row_base)) - row_base
-    return rows_sel, src_ant, dst_ant
+    return rows_sel, src_flat - row_base, dst_flat - row_base
 
 
 def match_positions_batch(
@@ -391,19 +421,19 @@ def match_positions_batch(
     *,
     resolve=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense-output wrapper over :func:`match_positions_sparse`.
+    """Dense-output wrapper over :func:`match_flat_pairs`.
 
     Returns the classic ``(B, n)`` pair — the nest returned to each
     participating ant (its own target elsewhere) and the recruited mask —
     for callers whose round structure genuinely consumes whole arrays.
     Hot loops should prefer the sparse form and scatter.
     """
-    n_trials, n = participants.shape
-    rows_sel, src_ant, dst_ant = match_positions_sparse(
+    src_flat, dst_flat = match_flat_pairs(
         participants, attempting, rngs, resolve=resolve
     )
     results = np.array(targets, dtype=np.int64, copy=True)
-    results[rows_sel, dst_ant] = results[rows_sel, src_ant]
-    recruited = np.zeros((n_trials, n), dtype=bool)
-    recruited[rows_sel, dst_ant] = True
+    flat = results.ravel()
+    flat[dst_flat] = flat[src_flat]
+    recruited = np.zeros(participants.shape, dtype=bool)
+    recruited.ravel()[dst_flat] = True
     return results, recruited

@@ -139,6 +139,23 @@ RULES: dict[str, Rule] = {
             good="while live.size:\n    np.copyto(nest, new, where=moved)",
         ),
         Rule(
+            id="K203",
+            title="ufunc.at scatter with a Python-literal operand",
+            scope="kernel files (src/repro/fast/*.py)",
+            rationale=(
+                "numpy runs ufunc.at (np.add.at, np.subtract.at, ...) "
+                "through its indexed fast loop only when the value operand "
+                "already has the target array's dtype.  A Python int or "
+                "float forces the casting slow path on every call: on "
+                "numpy 2.4, 20k indices into an int32 count table take "
+                "1.6 ms with the literal 1 against 0.035 ms with "
+                "np.int32(1).  Pass a dtype-matched scalar (or array), or "
+                "replace the scatter with a bincount delta."
+            ),
+            bad="np.add.at(counts, bins, 1)  # counts is int32",
+            good="np.add.at(counts, bins, np.int32(1))",
+        ),
+        Rule(
             id="R301",
             title="registry params drift from the accepted params",
             scope="repo metadata (api/algorithms.py, api/processes.py)",

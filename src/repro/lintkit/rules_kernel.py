@@ -14,9 +14,14 @@ batch and whose steady state PR 5 made allocation-free:
   Rebinding detaches the plane from its recycled storage (the next
   ``buf()`` call aliases stale state) and puts the allocation back on
   the hot path; planes mutate via masked in-place writes.
+- **K203** — a ``ufunc.at`` scatter (``np.add.at(c, i, 1)``) anywhere in
+  a kernel file whose value operand is a Python literal.  numpy only
+  takes the indexed fast loop when the operand already has the target's
+  dtype; a literal into an int32 (or any non-default dtype) target sends
+  every call down the casting slow path.
 
-Both rules are lexical: calls inside nested function *definitions* (the
-``finalize_rows``/``compress`` closures, defined once and invoked on
+K201 and K202 are lexical: calls inside nested function *definitions*
+(the ``finalize_rows``/``compress`` closures, defined once and invoked on
 compaction events, not per round) are out of scope by construction.
 """
 
@@ -221,11 +226,50 @@ class _KernelVisitor(ast.NodeVisitor):
         # outer pass; don't double-report through generic_visit.
 
 
+def _is_literal(node: ast.AST) -> bool:
+    """A Python number literal, optionally signed (``1``, ``-1``, ``0.5``)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(
+        node.value, (bool, int, float, complex)
+    )
+
+
+class _AtOperandVisitor(_KernelVisitor):
+    """K203 over the whole module: loops, closures and straight-line code."""
+
+    def visit_While(self, node: ast.While) -> None:
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "at"
+            and isinstance(func.value, ast.Attribute)
+            and isinstance(func.value.value, ast.Name)
+            and func.value.value.id in _NUMPY_ALIASES
+            and len(node.args) >= 3
+            and _is_literal(node.args[2])
+        ):
+            self.emit(
+                node,
+                "K203",
+                f"np.{func.value.attr}.at(...) with a Python-literal operand "
+                "takes numpy's casting slow path; pass a scalar of the "
+                "target's dtype (e.g. np.int32(1))",
+            )
+        self.generic_visit(node)
+
+
 def kernel_findings(
     tree: ast.Module, path: str, source: str | None = None
 ) -> Iterator[Finding]:
     """All K-rule findings for one parsed kernel module."""
-    visitor = _KernelVisitor(path)
-    visitor._lines = source.splitlines() if source is not None else []
-    visitor.visit(tree)
-    return iter(visitor.findings)
+    lines = source.splitlines() if source is not None else []
+    findings: list[Finding] = []
+    for visitor in (_KernelVisitor(path), _AtOperandVisitor(path)):
+        visitor._lines = lines
+        visitor.visit(tree)
+        findings.extend(visitor.findings)
+    return iter(findings)

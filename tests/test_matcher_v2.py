@@ -18,13 +18,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.fast.batch import simulate_optimal_batch, simulate_simple_batch
 from repro.fast.batch_matcher import (
+    match_flat_pairs,
     match_pairs_batch,
     match_positions_batch,
     match_slots_batch,
     resolve_greedy_matching,
 )
+from repro.model.nests import NestConfig
 from repro.model.recruitment import match_arrays, match_arrays_v2
+from repro.sim.rng import RandomSource
 from tests.helpers.equivalence import assert_means_close
 
 
@@ -161,19 +165,11 @@ class TestBatchedResolverMatchesSpec:
             results, recruited = match_positions_batch(
                 participants, attempting, targets, _rngs(draw_seed, n_trials)
             )
-            for row in range(n_trials):
-                ants = np.flatnonzero(participants[row])
-                res, rof, _ = match_arrays_v2(
-                    attempting[row, ants],
-                    targets[row, ants],
-                    np.random.default_rng([draw_seed, row]),
-                )
-                expect_results = targets[row].copy()
-                expect_results[ants] = res
-                expect_recruited = np.zeros(n, dtype=bool)
-                expect_recruited[ants[rof != -1]] = True
-                assert np.array_equal(results[row], expect_results)
-                assert np.array_equal(recruited[row], expect_recruited)
+            expect_results, expect_recruited = _spec_positions(
+                participants, attempting, targets, draw_seed
+            )
+            assert np.array_equal(results, expect_results)
+            assert np.array_equal(recruited, expect_recruited)
 
     def test_resolver_int64_fallback_path(self):
         """Key spaces beyond the int32 limit use the same algorithm."""
@@ -197,6 +193,117 @@ class TestBatchedResolverMatchesSpec:
             np.empty(0, np.int64), np.empty(0, np.int64), 16
         )
         assert len(sel_src) == 0 and len(sel_dst) == 0
+
+
+def _spec_positions(participants, attempting, targets, draw_seed):
+    """The sequential v2 spec over each row's packed participant list."""
+    n_trials, n = participants.shape
+    results = np.array(targets, dtype=np.int64, copy=True)
+    recruited = np.zeros((n_trials, n), dtype=bool)
+    for row in range(n_trials):
+        ants = np.flatnonzero(participants[row])
+        res, rof, _ = match_arrays_v2(
+            attempting[row, ants],
+            targets[row, ants],
+            np.random.default_rng([draw_seed, row]),
+        )
+        results[row, ants] = res
+        recruited[row, ants[rof != -1]] = True
+    return results, recruited
+
+
+def _consume_flat(src_flat, dst_flat, targets):
+    """Algorithm 2's consumption: scatter pairs into a flat int32 plane."""
+    plane = np.array(targets, dtype=np.int32, copy=True)
+    flat = plane.ravel()
+    flat[dst_flat] = flat.take(src_flat)
+    recruited = np.zeros(plane.shape, dtype=bool)
+    recruited.ravel()[dst_flat] = True
+    return plane, recruited
+
+
+class TestSparseConsumption:
+    """The flat sparse pairs the Algorithm 2 batch kernel scatters from."""
+
+    @staticmethod
+    def _check(participants, attempting, targets, draw_seed):
+        n_trials = participants.shape[0]
+        src, dst = match_flat_pairs(
+            participants, attempting, _rngs(draw_seed, n_trials)
+        )
+        assert len(np.unique(dst)) == len(dst)
+        assert not np.isin(src[src != dst], dst).any()
+        plane, recruited = _consume_flat(src, dst, targets)
+        dense, dense_rec = match_positions_batch(
+            participants, attempting, targets, _rngs(draw_seed, n_trials)
+        )
+        spec, spec_rec = _spec_positions(
+            participants, attempting, targets, draw_seed
+        )
+        assert np.array_equal(plane, dense) and np.array_equal(plane, spec)
+        assert np.array_equal(recruited, dense_rec)
+        assert np.array_equal(recruited, spec_rec)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_masks_match_dense_and_spec(self, seed):
+        rng = np.random.default_rng([31, seed])
+        for _ in range(40):
+            n = int(rng.integers(1, 80))
+            n_trials = int(rng.integers(1, 6))
+            participants = rng.random((n_trials, n)) < rng.random()
+            attempting = participants & (rng.random((n_trials, n)) < rng.random())
+            targets = rng.integers(1, 9, size=(n_trials, n))
+            self._check(participants, attempting, targets, int(rng.integers(1 << 30)))
+
+    def test_zero_attempt_rows_draw_nothing(self):
+        rng = np.random.default_rng(41)
+        n, n_trials = 50, 5
+        participants = rng.random((n_trials, n)) < 0.7
+        attempting = participants & (rng.random((n_trials, n)) < 0.5)
+        attempting[[1, 3]] = False  # rows with participants but no attempts
+        targets = rng.integers(1, 5, size=(n_trials, n))
+        self._check(participants, attempting, targets, 9)
+        rngs = _rngs(9, n_trials)
+        before = [g.bit_generator.state for g in rngs]
+        src, dst = match_flat_pairs(participants, attempting, rngs)
+        assert not np.isin(src // n, [1, 3]).any()
+        for row in (1, 3):
+            assert rngs[row].bit_generator.state == before[row]
+        for row in (0, 2, 4):
+            assert rngs[row].bit_generator.state != before[row]
+
+    def test_no_attempts_anywhere_returns_empty_without_draws(self):
+        participants = np.ones((3, 16), dtype=bool)
+        rngs = _rngs(2, 3)
+        before = [g.bit_generator.state for g in rngs]
+        src, dst = match_flat_pairs(participants, np.zeros((3, 16), bool), rngs)
+        assert len(src) == 0 and len(dst) == 0
+        assert [g.bit_generator.state for g in rngs] == before
+
+    def test_every_participant_attempting(self):
+        """``attempting=None`` (Algorithm 2's B1) == the explicit mask."""
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 33, 128):
+            participants = rng.random((4, n)) < 0.6
+            participants[2] = True  # a row where every ant attempts
+            participants[3] = False  # and one with no participants at all
+            targets = rng.integers(1, 5, size=(4, n))
+            self._check(participants, participants, targets, n)
+            explicit = match_flat_pairs(participants, participants, _rngs(n, 4))
+            implicit = match_flat_pairs(participants, None, _rngs(n, 4))
+            for got, expect in zip(implicit, explicit):
+                assert np.array_equal(np.sort(got), np.sort(expect))
+
+    @pytest.mark.parametrize(
+        "kernel", [simulate_simple_batch, simulate_optimal_batch]
+    )
+    def test_outputs_stay_int64(self, kernel):
+        """int32 working planes never leak into the reported arrays."""
+        nests = NestConfig.binary(4, {1, 2})
+        sources = [RandomSource(5).trial(t) for t in range(3)]
+        for result in kernel(64, nests, sources, record_history=True):
+            assert result.final_counts.dtype == np.int64
+            assert result.population_history.dtype == np.int64
 
 
 class TestV1V2StatisticalEquivalence:

@@ -182,6 +182,48 @@ def kernel(arena, keep, live):
     assert lint_snippet(code, kernel=True) == []
 
 
+# -- K203: ufunc.at with a Python-literal operand -----------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "np.add.at(c, i, 1)",
+        "np.subtract.at(c, i, -1)",
+        "np.minimum.at(c, i, 0.5)",
+    ],
+)
+def test_k203_flags_literal_at_operand(call):
+    code = f"import numpy as np\ndef kernel(c, i):\n    {call}\n"
+    assert rules_of(lint_snippet(code, kernel=True)) == ["K203"]
+    # The cliff is a kernel-performance rule: non-kernel code is exempt.
+    assert lint_snippet(code, kernel=False) == []
+
+
+def test_k203_flags_inside_round_loops():
+    code = """\
+import numpy as np
+def kernel(c, i, live):
+    while live:
+        np.add.at(c, i, 1)
+        live -= 1
+"""
+    assert rules_of(lint_snippet(code, kernel=True)) == ["K203"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "np.add.at(c, i, np.int32(1))",
+        "np.minimum.at(c, i, values)",
+        "np.add.at(c, i)",
+    ],
+)
+def test_k203_silent_on_dtype_matched_operand(call):
+    code = f"import numpy as np\ndef kernel(c, i, values):\n    {call}\n"
+    assert lint_snippet(code, kernel=True) == []
+
+
 # -- suppressions -------------------------------------------------------------
 
 
