@@ -19,7 +19,9 @@ the single-trial kernel is literally a batch of one, so
 :func:`repro.api.run_batch`'s trial-parallel dispatch (the ``batch_kernel``
 entries here) is bit-identical to running each trial alone.  ``quorum``
 and ``uniform`` gained fast kernels with the batch engine, so the E8
-comparison sweep no longer falls back to the agent engine.
+comparison sweep no longer falls back to the agent engine.  The ``polya``
+urn runs a batch of one too (:mod:`repro.fast.urn`); ``rumor`` is the only
+fast process left with a per-trial kernel and no batch kernel.
 
 Adding a protocol variant is one ``REGISTRY.register(...)`` call.
 """
@@ -27,8 +29,6 @@ Adding a protocol variant is one ``REGISTRY.register(...)`` call.
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 from repro.api.processes import register_measurement_processes
 from repro.api.registry import (
@@ -48,7 +48,6 @@ from repro.api.registry import (
 )
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
-from repro.baselines.polya import PolyaUrn
 from repro.baselines.quorum import quorum_factory
 from repro.baselines.rumor import RumorMode, rumor_rounds
 from repro.baselines.uniform import uniform_factory
@@ -75,6 +74,7 @@ from repro.fast.batch import (
 from repro.fast.optimal_fast import simulate_optimal
 from repro.fast.simple_fast import simulate_simple
 from repro.fast.spread_fast import SpreadResult, simulate_spread
+from repro.fast.urn import simulate_polya_batch
 from repro.sim.rng import RandomSource
 
 
@@ -556,48 +556,46 @@ def _rumor_fast(scenario: Scenario, source: RandomSource) -> RunReport:
     )
 
 
-def _polya_fast(scenario: Scenario, source: RandomSource) -> RunReport:
+def _polya_kwargs(scenario: Scenario) -> dict:
     params = _params(scenario, initial=None, gamma=2.0, steps=None)
     initial = params["initial"]
     if initial is None:
-        # Default two-urn race over the scenario's nests: the n "balls" are
-        # split as evenly as the k urns allow.
+        # Default race over the scenario's nests: the n "balls" are split as
+        # evenly as the k urns allow.
         k = scenario.nests.k
         base, extra = divmod(scenario.n, k)
         initial = [base + (1 if urn < extra else 0) for urn in range(k)]
     # One reinforcement = one round, so the round cap bounds the steps.
     steps = int(params["steps"]) if params["steps"] is not None else 4 * scenario.n
-    steps = min(steps, scenario.max_rounds)
-    urn = PolyaUrn(initial, gamma=float(params["gamma"]))
-    trajectory = urn.run(steps, source.colony)
-    winner = int(np.argmax(urn.counts)) + 1
-    final_counts = np.concatenate([[0], urn.counts]).astype(np.int64)
-    extras: dict = {"process": "polya", "gamma": float(params["gamma"])}
-    history = None
-    if scenario.record_history:
-        history = np.rint(
-            trajectory * (np.arange(steps + 1) + sum(initial))[:, None]
-        ).astype(np.int64)
-        history = np.concatenate(
-            [np.zeros((steps + 1, 1), dtype=np.int64), history], axis=1
-        )
-    return RunReport(
-        algorithm=scenario.algorithm,
-        backend="fast",
-        n=scenario.n,
-        k=scenario.nests.k,
-        seed=scenario.seed,
-        trial_index=scenario.trial_index,
-        max_rounds=scenario.max_rounds,
-        converged=True,
-        converged_round=steps,
-        rounds_executed=steps,
-        chosen_nest=winner,
-        chose_good_nest=scenario.nests.is_good(winner),
-        final_counts=final_counts,
-        population_history=history,
-        extras=extras,
+    return {
+        "initial": initial,
+        "gamma": float(params["gamma"]),
+        "steps": min(steps, scenario.max_rounds),
+    }
+
+
+def _polya_reports(
+    scenarios: Sequence[Scenario], sources: Sequence[RandomSource]
+) -> list[RunReport]:
+    base = scenarios[0]
+    kwargs = _polya_kwargs(base)
+    results = simulate_polya_batch(
+        sources=sources, record_history=base.record_history, **kwargs
     )
+    extras = {"process": "polya", "gamma": kwargs["gamma"]}
+    return [
+        RunReport.from_fast(scenario, result, extras=extras)
+        for scenario, result in zip(scenarios, results)
+    ]
+
+
+def _polya_fast(scenario: Scenario, source: RandomSource) -> RunReport:
+    # A batch of one, so the single-trial and batch paths cannot drift apart.
+    return _polya_reports([scenario], [source])[0]
+
+
+def _polya_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
+    return _polya_reports(scenarios, _sources(scenarios))
 
 
 #: The standalone reference processes ignore colony perturbations entirely;
@@ -669,6 +667,7 @@ def register_builtin_algorithms(registry=REGISTRY) -> None:
         "generalized Pólya urn, the Section 5 reinforcement reference",
         fast_kernel=_polya_fast,
         fast_features=STANDALONE_FAST_FEATURES,
+        batch_kernel=_polya_batch,
         params=("gamma", "initial", "steps"),
     )
     registry.register(

@@ -70,6 +70,16 @@ def golden_cases() -> dict[str, list[Scenario]]:
         "optimal_history": lambda: _simple(
             107, algorithm="optimal", n=64, record_history=True
         ),
+        # Rule B2 (a recruited passive turns final only if it moved) changes
+        # no other case's digest; seven good nests of eight at small n do
+        # recruit passives that stay put.
+        "optimal_b2_small": lambda: _simple(
+            3,
+            algorithm="optimal",
+            n=64,
+            nests=NestConfig.binary(8, set(range(1, 8))),
+            max_rounds=3000,
+        ),
         "spread_wait": lambda: _simple(
             108, algorithm="spread", nests=NestConfig.single_good(3)
         ),

@@ -39,6 +39,7 @@ BATCHED_ALGORITHMS = [
     ("quorum", NestConfig.binary(4, {1, 3})),
     ("uniform", NestConfig.binary(4, {1, 3})),
     ("adaptive", NestConfig.all_good(4)),
+    ("polya", NestConfig.all_good(4)),
 ]
 
 
@@ -114,7 +115,7 @@ class TestDispatch:
     def test_registry_batch_kernels_present(self):
         for name, _ in BATCHED_ALGORITHMS:
             assert REGISTRY.get(name).has_batch, name
-        for name in ("rumor", "polya", "power_feedback"):
+        for name in ("rumor", "power_feedback"):
             assert not REGISTRY.get(name).has_batch, name
 
     def test_quorum_and_uniform_resolve_fast_on_auto(self):

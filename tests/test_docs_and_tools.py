@@ -1,5 +1,6 @@
 """Documentation artifacts and the EXPERIMENTS.md build tool."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +49,18 @@ class TestBuildTool:
         assert "paper vs. measured" in output
         # At least some tables must be inlined as fenced blocks.
         assert output.count("```text") >= 5
+
+
+class TestBenchRegressionTool:
+    @staticmethod
+    def _tool():
+        path = ROOT / "tools" / "check_bench_regression.py"
+        spec = importlib.util.spec_from_file_location("check_bench_regression", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_relative_record_path_from_repo_root(self, monkeypatch):
+        # The scale-smoke CI job names its record relative to the root.
+        monkeypatch.chdir(ROOT)
+        assert self._tool().main(["BENCH_scale.json"]) == 0

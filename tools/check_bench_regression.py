@@ -157,7 +157,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    records = args.records or sorted(REPO_ROOT.glob("BENCH_*.json"))
+    # Resolve first: committed_version() locates a record relative to the
+    # repo root, and CI passes bare names such as ``BENCH_scale.json``.
+    records = [
+        path.resolve()
+        for path in (args.records or sorted(REPO_ROOT.glob("BENCH_*.json")))
+    ]
     if not records:
         print("no BENCH_*.json records found", file=sys.stderr)
         return 2
